@@ -50,6 +50,23 @@ SUBCOMMANDS: dict[str, str] = {
 }
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type for a count that must be at least 1."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """``argparse`` type for a count where 0 is meaningful."""
+    return _int_at_least(text, 0)
+
+
 def _cmd_list() -> int:
     width = max(len(e.exp_id) for e in EXPERIMENTS)
     print(f"{'id'.ljust(width)}  artifact   description")
@@ -71,12 +88,6 @@ def _render_artifacts(artifacts: list[dict]) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner import SweepRunner, validate_sweep_dict
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.cache_max_entries < 0:
-        print("--cache-max-entries must be >= 0", file=sys.stderr)
-        return 2
     if any(exp_id.lower() == "all" for exp_id in args.exp_ids):
         experiments = list(EXPERIMENTS)
     else:
@@ -650,6 +661,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except (OSError, SyntaxError) as exc:
         print(f"cannot parse audit root: {exc}", file=sys.stderr)
         return 2
+    if not context.modules:
+        print(f"no Python modules to audit under {context.root}",
+              file=sys.stderr)
+        return 2
     report = engine.run(context, baseline=baseline)
 
     if args.write_baseline:
@@ -802,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help=SUBCOMMANDS["run"])
     run_parser.add_argument("exp_ids", nargs="+", metavar="EXP_ID",
                             help="experiment id(s) from `list`, or 'all'")
-    run_parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    run_parser.add_argument("--jobs", "-j", type=positive_int, default=1, metavar="N",
                             help="worker processes for the sweep (default 1)")
     run_parser.add_argument("--no-cache", action="store_true",
                             help="ignore and don't update the result cache")
@@ -821,8 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--cache-dir", metavar="DIR",
                             help="result-cache directory "
                                  "(default .repro-cache/runner)")
-    run_parser.add_argument("--cache-max-entries", type=int, default=512,
-                            metavar="N",
+    run_parser.add_argument("--cache-max-entries", type=non_negative_int,
+                            default=512, metavar="N",
                             help="prune the result cache to the N most "
                                  "recently used entries on every write "
                                  "(default 512; 0 disables pruning)")
@@ -887,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="append the counters/gauges/histograms table")
     trace_parser.add_argument("--timeline", action="store_true",
                               help="print only the cross-layer event timeline")
-    trace_parser.add_argument("--events", type=int, default=65536,
+    trace_parser.add_argument("--events", type=positive_int, default=65536,
                               metavar="N",
                               help="event ring-buffer capacity (default 65536)")
     trace_parser.add_argument("--jsonl", metavar="FILE",
@@ -905,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="campaign base seed; identical seed + plan "
                                    "replays the exact fault sequence "
                                    "(default 0)")
-    chaos_parser.add_argument("--duration", type=int, default=30, metavar="N",
+    chaos_parser.add_argument("--duration", type=positive_int, default=30, metavar="N",
                               help="campaign length in virtual-clock ticks "
                                    "(default 30)")
     chaos_parser.add_argument("--json", action="store_true",
@@ -921,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     redteam_parser.add_argument("--campaigns", action="store_true",
                                 help="print every ranked campaign hop by hop "
                                      "with the defense that breaks each step")
-    redteam_parser.add_argument("--top", type=int, default=None, metavar="N",
+    redteam_parser.add_argument("--top", type=positive_int, default=None, metavar="N",
                                 help="with --campaigns, show only the N "
                                      "cheapest campaigns")
     redteam_parser.add_argument("--json", action="store_true",
@@ -958,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="campaign base seed; identical seed + "
                                       "plan replays the exact telemetry and "
                                       "verdicts (default 0)")
-    sentinel_parser.add_argument("--duration", type=int, default=30,
+    sentinel_parser.add_argument("--duration", type=positive_int, default=30,
                                  metavar="N",
                                  help="campaign length in virtual-clock ticks "
                                       "(default 30)")
@@ -1009,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                   required=True)
 
     def _campaign_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", "-j", type=positive_int, default=1, metavar="N",
                        help="supervised worker processes (default 1)")
         p.add_argument("--timeout", type=float, default=120.0, metavar="S",
                        help="per-shard time budget in seconds; retries get "
@@ -1036,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default baseline)")
     campaign_run.add_argument("--seeds", default="0", metavar="N,N",
                               help="comma-separated base seeds (default 0)")
-    campaign_run.add_argument("--duration", type=int, default=30, metavar="N",
+    campaign_run.add_argument("--duration", type=positive_int, default=30, metavar="N",
                               help="virtual-clock ticks for chaos/sentinel "
                                    "shards (default 30)")
     campaign_run.add_argument("--name", default="", metavar="NAME",
@@ -1065,7 +1080,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; return it instead so
+        # in-process callers get the same contract as the shell.
+        if exc.code == 2:
+            return 2
+        raise
     if args.command == "list":
         return _cmd_list()
     if args.command == "lint":

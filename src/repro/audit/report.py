@@ -18,8 +18,10 @@ The JSON schema (version ``1.0``) follows the house lint conventions::
       "summary": {"total": <int>, "byRule": {"AUD001": <int>, ...}}
     }
 
-:func:`validate_audit_dict` checks a parsed document against that
-schema and raises :class:`SchemaError` on any violation; the SARIF
+:data:`SCHEMA` declares that shape for :mod:`repro.core.schema`;
+:func:`validate_audit_dict` checks a parsed document against it plus the
+summary counts and raises :class:`~repro.core.schema.SchemaError` on any
+violation; the SARIF
 export reuses :mod:`repro.lint.sarif` so audit findings load into the
 same tooling as lint findings, with physical file/line locations.
 """
@@ -28,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.schema import (COUNT, NON_EMPTY, STRING, Schema, SchemaError,
+                               header, require, validate)
 from repro.lint.engine import Finding, Rule, Severity
-from repro.lint.report import SchemaError
+from repro.lint.report import FINGERPRINT, LAYER, SEVERITY
 
 from repro.audit.engine import AuditFinding, Checker
 
@@ -186,95 +190,39 @@ def to_sarif_dict(report: AuditReport, checkers: list[Checker]) -> dict:
 # schema validation
 # --------------------------------------------------------------------------
 
-_SEVERITY_NAMES = {s.name.lower() for s in Severity}
+_RULE_ID: Schema = {"type": "string", "pattern": "^AUD"}
 
-_FINDING_KEYS = {"ruleId", "severity", "path", "line", "message",
-                 "remediation", "fingerprint"}
-_RULE_KEYS = {"id", "title", "layer", "severity", "remediation"}
+_FINDING: Schema = {"type": "object", "properties": {
+    "ruleId": _RULE_ID, "severity": SEVERITY, "path": STRING,
+    "line": {"type": "integer", "minimum": 1}, "message": STRING,
+    "remediation": STRING, "fingerprint": FINGERPRINT}}
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
-def _validate_finding(entry: dict, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: finding must be an object")
-    _require(set(entry) == _FINDING_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_FINDING_KEYS)}")
-    for key in sorted(_FINDING_KEYS - {"line"}):
-        _require(isinstance(entry[key], str),
-                 f"{where}: {key} must be a string")
-    _require(isinstance(entry["line"], int) and entry["line"] >= 1,
-             f"{where}: line must be a positive int")
-    _require(entry["severity"] in _SEVERITY_NAMES,
-             f"{where}: bad severity {entry['severity']!r}")
-    _require(entry["ruleId"].startswith("AUD"),
-             f"{where}: ruleId must be an AUD rule")
-    _require(len(entry["fingerprint"]) == 16,
-             f"{where}: fingerprint must be 16 hex chars")
+SCHEMA: Schema = {"type": "object", "properties": {
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "target": NON_EMPTY,
+    "audited": {"type": "object", "properties": {
+        "modules": COUNT,
+        "packages": {"type": "object", "values": COUNT}}},
+    "rules": {"type": "array", "items": {"type": "object", "properties": {
+        "id": _RULE_ID, "title": STRING, "layer": LAYER,
+        "severity": SEVERITY, "remediation": STRING}}},
+    "findings": {"type": "array", "items": _FINDING},
+    "suppressed": {"type": "array", "items": _FINDING},
+    "summary": {"type": "object", "properties": {
+        "total": COUNT,
+        "byRule": {"type": "object", "keys": _RULE_ID,
+                   "values": {"type": "integer", "minimum": 1}}}},
+}}
 
 
 def validate_audit_dict(document: dict) -> None:
     """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "audit report must be an object")
-    required = {"version", "tool", "target", "audited", "rules", "findings",
-                "suppressed", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["target"], str) and document["target"],
-             "target must be a non-empty string")
-
+    validate(document, SCHEMA)
     audited = document["audited"]
-    _require(isinstance(audited, dict)
-             and set(audited) == {"modules", "packages"},
-             "audited must be {modules, packages}")
-    _require(isinstance(audited["modules"], int) and audited["modules"] >= 0,
-             "audited.modules must be a non-negative int")
-    packages = audited["packages"]
-    _require(isinstance(packages, dict), "audited.packages must be an object")
-    for package, count in packages.items():
-        _require(isinstance(package, str),
-                 "audited.packages keys must be strings")
-        _require(isinstance(count, int) and count >= 0,
-                 f"audited.packages[{package!r}] must be a non-negative int")
-    _require(sum(packages.values()) == audited["modules"],
-             "audited.packages counts must sum to audited.modules")
-
-    _require(isinstance(document["rules"], list), "rules must be a list")
-    for index, rule in enumerate(document["rules"]):
-        where = f"rules[{index}]"
-        _require(isinstance(rule, dict) and set(rule) == _RULE_KEYS,
-                 f"{where}: keys must be {sorted(_RULE_KEYS)}")
-        _require(rule["severity"] in _SEVERITY_NAMES,
-                 f"{where}: bad severity {rule['severity']!r}")
-        _require(isinstance(rule["id"], str) and rule["id"].startswith("AUD"),
-                 f"{where}: id must be an AUD rule")
-
-    for section in ("findings", "suppressed"):
-        _require(isinstance(document[section], list),
-                 f"{section} must be a list")
-        for index, entry in enumerate(document[section]):
-            _validate_finding(entry, f"{section}[{index}]")
-
+    require(sum(audited["packages"].values()) == audited["modules"],
+            "audited.packages counts must sum to audited.modules")
     summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == {"total", "byRule"},
-             "summary must be {total, byRule}")
-    _require(summary["total"] == len(document["findings"]),
-             "summary.total must equal len(findings)")
-    by_rule = summary["byRule"]
-    _require(isinstance(by_rule, dict), "byRule must be an object")
-    for rule_id, count in by_rule.items():
-        _require(isinstance(rule_id, str) and rule_id.startswith("AUD"),
-                 f"byRule: bad rule id {rule_id!r}")
-        _require(isinstance(count, int) and count >= 1,
-                 f"byRule[{rule_id!r}] must be a positive int")
-    _require(sum(by_rule.values()) == summary["total"],
-             "byRule counts must sum to summary.total")
+    require(summary["total"] == len(document["findings"]),
+            "summary.total must equal len(findings)")
+    require(sum(summary["byRule"].values()) == summary["total"],
+            "byRule counts must sum to summary.total")

@@ -18,6 +18,10 @@ holds:
 graceful checkpoint; a completed campaign always reports
 ``complete: true`` with zero pending shards, whatever its history of
 crashes and resumes.
+
+:data:`SCHEMA` declares the document's shape for :mod:`repro.core.schema`;
+:func:`validate_campaign_dict` adds the digest recomputation and the
+summary counts.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.core.schema import (BOOLEAN, COUNT, NON_EMPTY, STRING, Schema,
+                               SchemaError, header, require, validate)
+
 from repro.campaign.shard import result_digest
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, CampaignTool
 
 __all__ = ["CAMPAIGN_SCHEMA_VERSION", "CAMPAIGN_TOOL_NAME", "SHARD_STATUSES",
            "ShardEntry", "CampaignReport", "validate_campaign_dict",
@@ -37,10 +44,6 @@ CAMPAIGN_TOOL_NAME = "repro-campaign"
 
 #: Terminal statuses plus ``pending`` (only in interrupted reports).
 SHARD_STATUSES = ("ok", "error", "timeout", "quarantined", "pending")
-
-
-class SchemaError(ValueError):
-    """A campaign report document violates the schema."""
 
 
 @dataclass
@@ -156,23 +159,28 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _require_keys(section: dict, keys: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise SchemaError(f"{where} must be an object")
-    if set(section) != keys:
-        missing = keys - set(section)
-        extra = set(section) - keys
-        raise SchemaError(f"{where} keys mismatch: "
-                          f"missing={sorted(missing)} extra={sorted(extra)}")
-
-
-_TOP_KEYS = {"version", "tool", "campaign", "shards", "summary"}
-_TOOL_KEYS = {"name", "version"}
-_CAMPAIGN_KEYS = {"id", "name", "shardCount"}
-_SHARD_KEYS = {"id", "tool", "scenario", "plan", "seed", "duration",
-               "status", "digest", "error", "result"}
-_SUMMARY_KEYS = {"total", "ok", "errors", "timeouts", "quarantined",
-                 "pending", "complete", "interrupted"}
+SCHEMA: Schema = {"type": "object", "properties": {
+    **header(CAMPAIGN_SCHEMA_VERSION, CAMPAIGN_TOOL_NAME),
+    "campaign": {"type": "object", "properties": {
+        "id": NON_EMPTY, "name": STRING, "shardCount": COUNT}},
+    "shards": {"type": "array", "minItems": 1, "sorted": "id", "unique": "id",
+               "items": {"type": "object", "properties": {
+        "id": NON_EMPTY,
+        "tool": {"enum": [tool.value for tool in CampaignTool]},
+        "scenario": NON_EMPTY,
+        "plan": NON_EMPTY,
+        "seed": COUNT,
+        "duration": COUNT,
+        "status": {"enum": list(SHARD_STATUSES)},
+        "digest": STRING,
+        "error": STRING,
+        "result": {"type": ["object", "null"]}}}},
+    "summary": {"type": "object", "properties": {
+        **{key: COUNT for key in ("total", "ok", "errors", "timeouts",
+                                  "quarantined", "pending")},
+        "complete": BOOLEAN,
+        "interrupted": BOOLEAN}},
+}}
 
 
 def validate_campaign_dict(document: dict) -> None:
@@ -183,55 +191,34 @@ def validate_campaign_dict(document: dict) -> None:
     match their results is evidence of journal tampering or an engine
     bug, and must never validate.
     """
-    _require_keys(document, _TOP_KEYS, "report")
-    if document["version"] != CAMPAIGN_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported version {document['version']!r}")
-    _require_keys(document["tool"], _TOOL_KEYS, "tool")
-    if document["tool"]["name"] != CAMPAIGN_TOOL_NAME:
-        raise SchemaError(f"unexpected tool {document['tool']['name']!r}")
-    _require_keys(document["campaign"], _CAMPAIGN_KEYS, "campaign")
+    validate(document, SCHEMA)
     shards = document["shards"]
-    if not isinstance(shards, list) or not shards:
-        raise SchemaError("shards must be a non-empty list")
-    if document["campaign"]["shardCount"] != len(shards):
-        raise SchemaError("campaign.shardCount does not match shards")
-    ids = []
+    require(document["campaign"]["shardCount"] == len(shards),
+            "campaign.shardCount does not match shards")
     counts = {status: 0 for status in SHARD_STATUSES}
     for index, entry in enumerate(shards):
-        _require_keys(entry, _SHARD_KEYS, f"shards[{index}]")
-        ids.append(entry["id"])
         status = entry["status"]
-        if status not in SHARD_STATUSES:
-            raise SchemaError(f"shards[{index}] has unknown status "
-                              f"{status!r}")
         counts[status] += 1
         if status == "ok":
-            if not isinstance(entry["result"], dict):
-                raise SchemaError(f"shards[{index}] is ok but has no "
-                                  f"result document")
-            if entry["digest"] != result_digest(entry["result"]):
-                raise SchemaError(f"shards[{index}] digest does not match "
-                                  f"its result document")
+            require(entry["result"] is not None,
+                    f"shards[{index}] is ok but has no result document")
+            require(entry["digest"] == result_digest(entry["result"]),
+                    f"shards[{index}] digest does not match its result "
+                    f"document")
         else:
-            if entry["result"] is not None:
-                raise SchemaError(f"shards[{index}] is {status} but "
-                                  f"carries a result document")
-            if entry["digest"] != "":
-                raise SchemaError(f"shards[{index}] is {status} but "
-                                  f"carries a digest")
-    if ids != sorted(ids) or len(set(ids)) != len(ids):
-        raise SchemaError("shard ids must be sorted and unique")
+            require(entry["result"] is None,
+                    f"shards[{index}] is {status} but carries a result "
+                    f"document")
+            require(entry["digest"] == "",
+                    f"shards[{index}] is {status} but carries a digest")
     summary = document["summary"]
-    _require_keys(summary, _SUMMARY_KEYS, "summary")
     expected = {"total": len(shards), "ok": counts["ok"],
                 "errors": counts["error"], "timeouts": counts["timeout"],
                 "quarantined": counts["quarantined"],
                 "pending": counts["pending"],
-                "complete": counts["pending"] == 0,
-                "interrupted": bool(summary["interrupted"])}
+                "complete": counts["pending"] == 0}
     for key, value in expected.items():
-        if summary[key] != value:
-            raise SchemaError(f"summary.{key} is {summary[key]!r}, "
-                              f"expected {value!r}")
-    if summary["complete"] and summary["interrupted"]:
-        raise SchemaError("a complete campaign cannot be interrupted")
+        require(summary[key] == value,
+                f"summary.{key} is {summary[key]!r}, expected {value!r}")
+    require(not (summary["complete"] and summary["interrupted"]),
+            "a complete campaign cannot be interrupted")

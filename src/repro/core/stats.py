@@ -14,8 +14,7 @@ provides the interval estimates that make those numbers honest:
 from __future__ import annotations
 
 import math
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 __all__ = ["wilson_interval", "proportions_differ"]
 
@@ -27,7 +26,7 @@ def wilson_interval(successes: int, trials: int, *,
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p_hat + z * z / (2 * trials)) / denom
@@ -58,5 +57,6 @@ def proportions_differ(successes_a: int, trials_a: int,
     if variance == 0.0:
         return p_a != p_b
     z = (p_a - p_b) / math.sqrt(variance)
-    p_value = 2.0 * float(norm.sf(abs(z)))
+    # Two-sided tail: 2 * sf(|z|) == erfc(|z| / sqrt(2)).
+    p_value = math.erfc(abs(z) / math.sqrt(2.0))
     return p_value < alpha

@@ -40,7 +40,7 @@ from repro.faults.plan import (
     plan_names,
     severe_plan,
 )
-from repro.faults.report import ChaosSchemaError, validate_chaos_dict
+from repro.faults.report import SchemaError, validate_chaos_dict
 from repro.faults.resilience import (
     BreakerOpen,
     BreakerState,
@@ -84,6 +84,6 @@ __all__ = [
     "run_chaos_scenario",
     "run_chaos_campaign",
     "DEFAULT_DURATION",
-    "ChaosSchemaError",
+    "SchemaError",
     "validate_chaos_dict",
 ]

@@ -1,296 +1,159 @@
-"""Chaos report JSON: schema documentation and validation.
+"""Chaos report JSON: the declared schema and its validation.
 
 The chaos document (version ``1.0``) mirrors the ``repro.lint`` /
 ``repro.obs`` / ``repro.runner`` report conventions — small, flat,
-stable::
-
-    {
-      "version": "1.0",
-      "tool": {"name": "repro-chaos", "version": "<package version>"},
-      "plan": {"name", "window": {"start", "end"},
-               "faults": [{"kind", "target", "layer", "start", "end",
-                           "probability", "magnitude"}]},
-      "baseSeed": <int>,
-      "scenarios": [
-        {"scenario", "description", "resilient", "durationTicks",
-         "window": {"start", "end"},
-         "layers": [{"layer", "attempts", "successes", "availability",
-                     "windowAttempts", "windowSuccesses",
-                     "windowAvailability"}],
-         "faults": {"injected", "byKind"},
-         "retry": {"calls", "attempts", "retries", "recovered", "exhausted"},
-         "breakers": [{"name", "opens", "rejections", "finalState"}],
-         "ssi": null | {"hits", "staleHits", "failures", "cached"},
-         "alerts": <int>,
-         "degradation": {"finalLevel", "minLevel",
-                         "changes": [{"t", "level", "reason"}],
-                         "timeToDegradeS", "timeToRecoverS"}}
-      ],
-      "summary": {"scenarioCount", "faultsInjected", "layersSustained",
-                  "scenariosAtMinimalRiskOrBelow"}
-    }
-
-:func:`validate_chaos_dict` checks a parsed document against that
-schema and raises :class:`ChaosSchemaError` on any violation — the CI
-chaos gate and the round-trip tests both call it.
+stable.  :data:`SCHEMA` below declares every key of it for
+:mod:`repro.core.schema`; :func:`validate_chaos_dict` checks a parsed
+document against it plus the count and summary cross-checks and raises
+:class:`~repro.core.schema.SchemaError` on any violation — the CI chaos
+gate and the round-trip tests both call it.  :mod:`repro.sentinel.report`
+reuses the :data:`PLAN`, :data:`WINDOW`, :data:`FAULTS` and
+:data:`DEGRADATION` sub-schemas and their cross-checks.
 """
 
 from __future__ import annotations
 
 from repro.core.layers import Layer
+from repro.core.schema import (BOOLEAN, COUNT, INTEGER, NON_EMPTY,
+                               NON_NEGATIVE, NULLABLE_NUMBER, NUMBER, UNIT,
+                               Schema, SchemaError, header, require,
+                               string_list, validate)
 from repro.faults.plan import FaultKind
 
-__all__ = ["ChaosSchemaError", "validate_chaos_dict",
-           "SCHEMA_VERSION", "TOOL_NAME"]
+__all__ = ["SchemaError", "validate_chaos_dict", "check_plan",
+           "check_window", "check_faults", "SCHEMA_VERSION", "TOOL_NAME"]
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-chaos"
 
-_LAYER_NAMES = {layer.name.lower() for layer in Layer}
-_KIND_VALUES = {kind.value for kind in FaultKind}
-_LEVEL_NAMES = {"full", "degraded", "minimal_risk", "safe_stop"}
-_BREAKER_STATES = {"closed", "open", "half-open"}
+LAYER: Schema = {"enum": [layer.name.lower() for layer in Layer]}
+KIND: Schema = {"enum": [kind.value for kind in FaultKind]}
+LEVEL: Schema = {"enum": ["full", "degraded", "minimal_risk", "safe_stop"]}
 
-_SPEC_KEYS = {"kind", "target", "layer", "start", "end",
-              "probability", "magnitude"}
-_LAYER_KEYS = {"layer", "attempts", "successes", "availability",
-               "windowAttempts", "windowSuccesses", "windowAvailability"}
-_RETRY_KEYS = {"calls", "attempts", "retries", "recovered", "exhausted"}
-_BREAKER_KEYS = {"name", "opens", "rejections", "finalState"}
-_SSI_KEYS = {"hits", "staleHits", "failures", "cached"}
-_DEGRADATION_KEYS = {"finalLevel", "minLevel", "changes",
-                     "timeToDegradeS", "timeToRecoverS"}
-_SCENARIO_KEYS = {"scenario", "description", "resilient", "durationTicks",
-                  "window", "layers", "faults", "retry", "breakers",
-                  "ssi", "alerts", "degradation"}
-_SUMMARY_KEYS = {"scenarioCount", "faultsInjected", "layersSustained",
-                 "scenariosAtMinimalRiskOrBelow"}
+WINDOW: Schema = {"type": "object",
+                  "properties": {"start": NUMBER, "end": NUMBER}}
+
+PLAN: Schema = {"type": "object", "properties": {
+    "name": NON_EMPTY,
+    "window": WINDOW,
+    "faults": {"type": "array", "minItems": 1, "items": {
+        "type": "object", "properties": {
+            "kind": KIND, "target": NON_EMPTY, "layer": LAYER,
+            "start": NUMBER, "end": NUMBER, "probability": UNIT,
+            "magnitude": NON_NEGATIVE}}},
+}}
+
+FAULTS: Schema = {"type": "object", "properties": {
+    "injected": COUNT,
+    "byKind": {"type": "object", "keys": KIND,
+               "values": {"type": "integer", "minimum": 1}},
+}}
+
+DEGRADATION: Schema = {"type": "object", "properties": {
+    "finalLevel": LEVEL,
+    "minLevel": LEVEL,
+    "changes": {"type": "array", "items": {"type": "object", "properties": {
+        "t": NUMBER, "level": LEVEL, "reason": NON_EMPTY}}},
+    "timeToDegradeS": NULLABLE_NUMBER,
+    "timeToRecoverS": NULLABLE_NUMBER,
+}}
+
+SCHEMA: Schema = {"type": "object", "properties": {
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "plan": PLAN,
+    "baseSeed": INTEGER,
+    "scenarios": {"type": "array", "minItems": 1, "unique": "scenario",
+                  "items": {"type": "object", "properties": {
+        "scenario": NON_EMPTY,
+        "description": NON_EMPTY,
+        "resilient": BOOLEAN,
+        "durationTicks": {"type": "integer", "minimum": 1},
+        "window": WINDOW,
+        "layers": {"type": "array", "minItems": 1, "unique": "layer",
+                   "items": {"type": "object", "properties": {
+            "layer": LAYER, "attempts": COUNT, "successes": COUNT,
+            "availability": UNIT, "windowAttempts": COUNT,
+            "windowSuccesses": COUNT, "windowAvailability": UNIT}}},
+        "faults": FAULTS,
+        "retry": {"type": "object", "properties": {
+            key: COUNT for key in ("calls", "attempts", "retries",
+                                   "recovered", "exhausted")}},
+        "breakers": {"type": "array", "items": {
+            "type": "object", "properties": {
+                "name": NON_EMPTY, "opens": COUNT, "rejections": COUNT,
+                "finalState": {"enum": ["closed", "open", "half-open"]}}}},
+        "ssi": {"type": ["object", "null"], "properties": {
+            key: COUNT for key in ("hits", "staleHits", "failures",
+                                   "cached")}},
+        "alerts": COUNT,
+        "degradation": DEGRADATION,
+    }}},
+    "summary": {"type": "object", "properties": {
+        "scenarioCount": COUNT,
+        "faultsInjected": COUNT,
+        "layersSustained": string_list(),
+        "scenariosAtMinimalRiskOrBelow": string_list(),
+    }},
+}}
 
 
-class ChaosSchemaError(ValueError):
-    """A chaos JSON document does not match the documented schema."""
+def check_window(window: dict, where: str) -> None:
+    """Cross-check a schema-valid ``{start, end}`` window."""
+    require(window["start"] <= window["end"],
+            f"{where}: window start must not exceed end")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ChaosSchemaError(message)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value: object) -> bool:
-    return _is_int(value) and value >= 0
-
-
-def _validate_window(window: object, where: str) -> None:
-    _require(isinstance(window, dict) and set(window) == {"start", "end"},
-             f"{where}: window must be {{start, end}}")
-    _require(_is_number(window["start"]) and _is_number(window["end"]),
-             f"{where}: window bounds must be numbers")
-    _require(window["start"] <= window["end"],
-             f"{where}: window start must not exceed end")
-
-
-def _validate_plan(plan: object) -> None:
-    _require(isinstance(plan, dict)
-             and set(plan) == {"name", "window", "faults"},
-             "plan must be {name, window, faults}")
-    _require(isinstance(plan["name"], str) and plan["name"],
-             "plan.name must be a non-empty string")
-    _validate_window(plan["window"], "plan")
-    _require(isinstance(plan["faults"], list) and plan["faults"],
-             "plan.faults must be a non-empty list")
+def check_plan(plan: dict) -> None:
+    """Cross-check a schema-valid :data:`PLAN`: every window is ordered."""
+    check_window(plan["window"], "plan")
     for index, spec in enumerate(plan["faults"]):
-        where = f"plan.faults[{index}]"
-        _require(isinstance(spec, dict) and set(spec) == _SPEC_KEYS,
-                 f"{where}: keys must be {sorted(_SPEC_KEYS)}")
-        _require(spec["kind"] in _KIND_VALUES,
-                 f"{where}: unknown fault kind {spec['kind']!r}")
-        _require(isinstance(spec["target"], str) and spec["target"],
-                 f"{where}: target must be a non-empty string")
-        _require(spec["layer"] in _LAYER_NAMES,
-                 f"{where}: unknown layer {spec['layer']!r}")
-        _require(_is_number(spec["start"]) and _is_number(spec["end"])
-                 and spec["start"] < spec["end"],
-                 f"{where}: window must satisfy start < end")
-        _require(_is_number(spec["probability"])
-                 and 0.0 <= spec["probability"] <= 1.0,
-                 f"{where}: probability must be in [0, 1]")
-        _require(_is_number(spec["magnitude"]) and spec["magnitude"] >= 0,
-                 f"{where}: magnitude must be non-negative")
+        require(spec["start"] < spec["end"],
+                f"plan.faults[{index}]: window must satisfy start < end")
 
 
-def _validate_layer_entry(entry: object, where: str) -> None:
-    _require(isinstance(entry, dict) and set(entry) == _LAYER_KEYS,
-             f"{where}: keys must be {sorted(_LAYER_KEYS)}")
-    _require(entry["layer"] in _LAYER_NAMES,
-             f"{where}: unknown layer {entry['layer']!r}")
-    for key in ("attempts", "successes", "windowAttempts", "windowSuccesses"):
-        _require(_is_count(entry[key]),
-                 f"{where}: {key} must be a non-negative int")
-    _require(entry["successes"] <= entry["attempts"],
-             f"{where}: successes must not exceed attempts")
-    _require(entry["windowSuccesses"] <= entry["windowAttempts"],
-             f"{where}: windowSuccesses must not exceed windowAttempts")
-    _require(entry["windowAttempts"] <= entry["attempts"],
-             f"{where}: windowAttempts must not exceed attempts")
-    for key in ("availability", "windowAvailability"):
-        _require(_is_number(entry[key]) and 0.0 <= entry[key] <= 1.0,
-                 f"{where}: {key} must be in [0, 1]")
+def check_faults(faults: dict, where: str) -> None:
+    """Cross-check a schema-valid :data:`FAULTS` block: byKind sums up."""
+    require(sum(faults["byKind"].values()) == faults["injected"],
+            f"{where}: byKind must sum to faults.injected")
 
 
-def _validate_degradation(entry: object, where: str) -> str:
-    _require(isinstance(entry, dict) and set(entry) == _DEGRADATION_KEYS,
-             f"{where}: keys must be {sorted(_DEGRADATION_KEYS)}")
-    for key in ("finalLevel", "minLevel"):
-        _require(entry[key] in _LEVEL_NAMES,
-                 f"{where}: {key} must be one of {sorted(_LEVEL_NAMES)}")
-    _require(isinstance(entry["changes"], list),
-             f"{where}: changes must be a list")
-    for index, change in enumerate(entry["changes"]):
-        inner = f"{where}.changes[{index}]"
-        _require(isinstance(change, dict)
-                 and set(change) == {"t", "level", "reason"},
-                 f"{inner}: must be {{t, level, reason}}")
-        _require(_is_number(change["t"]), f"{inner}: t must be a number")
-        _require(change["level"] in _LEVEL_NAMES,
-                 f"{inner}: unknown level {change['level']!r}")
-        _require(isinstance(change["reason"], str) and change["reason"],
-                 f"{inner}: reason must be a non-empty string")
-    for key in ("timeToDegradeS", "timeToRecoverS"):
-        _require(entry[key] is None or _is_number(entry[key]),
-                 f"{where}: {key} must be a number or null")
-    return str(entry["minLevel"])
-
-
-def _validate_scenario(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _SCENARIO_KEYS,
-             f"{where}: keys {sorted(entry) if isinstance(entry, dict) else '?'}"
-             f" != {sorted(_SCENARIO_KEYS)}")
-    _require(isinstance(entry["scenario"], str) and entry["scenario"],
-             f"{where}: scenario must be a non-empty string")
-    _require(isinstance(entry["description"], str) and entry["description"],
-             f"{where}: description must be a non-empty string")
-    _require(isinstance(entry["resilient"], bool),
-             f"{where}: resilient must be a bool")
-    _require(_is_int(entry["durationTicks"]) and entry["durationTicks"] >= 1,
-             f"{where}: durationTicks must be an int >= 1")
-    _validate_window(entry["window"], where)
-
-    _require(isinstance(entry["layers"], list) and entry["layers"],
-             f"{where}: layers must be a non-empty list")
-    seen_layers: set[str] = set()
-    for index, layer_entry in enumerate(entry["layers"]):
-        _validate_layer_entry(layer_entry, f"{where}.layers[{index}]")
-        _require(layer_entry["layer"] not in seen_layers,
-                 f"{where}.layers[{index}]: duplicate layer")
-        seen_layers.add(layer_entry["layer"])
-
-    faults = entry["faults"]
-    _require(isinstance(faults, dict) and set(faults) == {"injected", "byKind"},
-             f"{where}: faults must be {{injected, byKind}}")
-    _require(_is_count(faults["injected"]),
-             f"{where}: faults.injected must be a non-negative int")
-    _require(isinstance(faults["byKind"], dict),
-             f"{where}: faults.byKind must be an object")
-    total = 0
-    for kind, count in faults["byKind"].items():
-        _require(kind in _KIND_VALUES,
-                 f"{where}: unknown fault kind {kind!r} in byKind")
-        _require(_is_count(count) and count > 0,
-                 f"{where}: byKind[{kind!r}] must be a positive int")
-        total += count
-    _require(total == faults["injected"],
-             f"{where}: byKind must sum to faults.injected")
-
-    retry = entry["retry"]
-    _require(isinstance(retry, dict) and set(retry) == _RETRY_KEYS,
-             f"{where}: retry must be {sorted(_RETRY_KEYS)}")
-    for key in sorted(_RETRY_KEYS):
-        _require(_is_count(retry[key]),
-                 f"{where}: retry.{key} must be a non-negative int")
-
-    _require(isinstance(entry["breakers"], list),
-             f"{where}: breakers must be a list")
-    for index, breaker in enumerate(entry["breakers"]):
-        inner = f"{where}.breakers[{index}]"
-        _require(isinstance(breaker, dict) and set(breaker) == _BREAKER_KEYS,
-                 f"{inner}: keys must be {sorted(_BREAKER_KEYS)}")
-        _require(isinstance(breaker["name"], str) and breaker["name"],
-                 f"{inner}: name must be a non-empty string")
-        _require(_is_count(breaker["opens"]) and _is_count(breaker["rejections"]),
-                 f"{inner}: opens/rejections must be non-negative ints")
-        _require(breaker["finalState"] in _BREAKER_STATES,
-                 f"{inner}: unknown state {breaker['finalState']!r}")
-
-    ssi = entry["ssi"]
-    if ssi is not None:
-        _require(isinstance(ssi, dict) and set(ssi) == _SSI_KEYS,
-                 f"{where}: ssi must be null or {sorted(_SSI_KEYS)}")
-        for key in sorted(_SSI_KEYS):
-            _require(_is_count(ssi[key]),
-                     f"{where}: ssi.{key} must be a non-negative int")
-
-    _require(_is_count(entry["alerts"]),
-             f"{where}: alerts must be a non-negative int")
-    _validate_degradation(entry["degradation"], f"{where}.degradation")
-    return entry
+def _check_layer(entry: dict, where: str) -> None:
+    require(entry["successes"] <= entry["attempts"],
+            f"{where}: successes must not exceed attempts")
+    require(entry["windowSuccesses"] <= entry["windowAttempts"],
+            f"{where}: windowSuccesses must not exceed windowAttempts")
+    require(entry["windowAttempts"] <= entry["attempts"],
+            f"{where}: windowAttempts must not exceed attempts")
 
 
 def validate_chaos_dict(document: dict) -> None:
-    """Raise :class:`ChaosSchemaError` unless ``document`` matches."""
-    _require(isinstance(document, dict), "chaos report must be an object")
-    required = {"version", "tool", "plan", "baseSeed", "scenarios", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(tool["version"], str) and tool["version"],
-             "tool.version must be a non-empty string")
-    _validate_plan(document["plan"])
-    _require(_is_int(document["baseSeed"]), "baseSeed must be an int")
-
-    _require(isinstance(document["scenarios"], list) and document["scenarios"],
-             "scenarios must be a non-empty list")
-    seen: set[str] = set()
-    fault_total = 0
+    """Raise :class:`SchemaError` unless ``document`` matches."""
+    validate(document, SCHEMA)
+    check_plan(document["plan"])
     sustained: set[str] = set()
     at_floor: set[str] = set()
-    for index, entry in enumerate(document["scenarios"]):
-        scenario = _validate_scenario(entry, f"scenarios[{index}]")
-        _require(scenario["scenario"] not in seen,
-                 f"scenarios[{index}]: duplicate scenario "
-                 f"{scenario['scenario']!r}")
-        seen.add(scenario["scenario"])
-        fault_total += scenario["faults"]["injected"]
-        sustained.update(
-            layer_entry["layer"] for layer_entry in scenario["layers"]
-            if layer_entry["windowAttempts"] > 0
-            and layer_entry["windowAvailability"] > 0.0)
-        if scenario["degradation"]["minLevel"] in ("minimal_risk", "safe_stop"):
+    for index, scenario in enumerate(document["scenarios"]):
+        where = f"scenarios[{index}]"
+        check_window(scenario["window"], where)
+        for layer_index, entry in enumerate(scenario["layers"]):
+            _check_layer(entry, f"{where}.layers[{layer_index}]")
+            if entry["windowAttempts"] > 0 \
+                    and entry["windowAvailability"] > 0.0:
+                sustained.add(entry["layer"])
+        check_faults(scenario["faults"], where)
+        if scenario["degradation"]["minLevel"] in ("minimal_risk",
+                                                   "safe_stop"):
             at_floor.add(scenario["scenario"])
 
     summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == _SUMMARY_KEYS,
-             f"summary must be {sorted(_SUMMARY_KEYS)}")
-    _require(summary["scenarioCount"] == len(document["scenarios"]),
-             "summary.scenarioCount must equal len(scenarios)")
-    _require(summary["faultsInjected"] == fault_total,
-             "summary.faultsInjected must sum the per-scenario totals")
-    _require(summary["layersSustained"] == sorted(sustained),
-             "summary.layersSustained must list layers with in-window "
-             "availability > 0, sorted")
-    _require(summary["scenariosAtMinimalRiskOrBelow"] == sorted(at_floor),
-             "summary.scenariosAtMinimalRiskOrBelow must list scenarios "
-             "whose minLevel reached minimal_risk/safe_stop, sorted")
+    require(summary["scenarioCount"] == len(document["scenarios"]),
+            "summary.scenarioCount must equal len(scenarios)")
+    require(summary["faultsInjected"]
+            == sum(s["faults"]["injected"] for s in document["scenarios"]),
+            "summary.faultsInjected must sum the per-scenario totals")
+    require(summary["layersSustained"] == sorted(sustained),
+            "summary.layersSustained must list layers with in-window "
+            "availability > 0, sorted")
+    require(summary["scenariosAtMinimalRiskOrBelow"] == sorted(at_floor),
+            "summary.scenariosAtMinimalRiskOrBelow must list scenarios "
+            "whose minLevel reached minimal_risk/safe_stop, sorted")

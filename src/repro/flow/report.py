@@ -2,15 +2,16 @@
 
 The JSON document (schema version ``1.0``) carries everything the
 taint analysis proved — graph size, tainted set, hop-by-hop witnesses,
-and the hardening cut per sink — in a shape
-:func:`validate_flow_dict` can check, so downstream consumers detect
+and the hardening cut per sink — in the shape :data:`SCHEMA` declares,
+which :func:`validate_flow_dict` checks, so downstream consumers detect
 schema drift instead of silently misparsing.
 """
 
 from __future__ import annotations
 
+from repro.core.schema import (BOOLEAN, COUNT, NON_EMPTY, STRING, Schema,
+                               header, require, string_list, validate)
 from repro.flow.taint import FlowResult
-from repro.lint.report import SchemaError
 
 __all__ = ["render_summary", "render_witnesses", "render_cut",
            "to_json_dict", "validate_flow_dict",
@@ -104,79 +105,34 @@ def to_json_dict(result: FlowResult) -> dict:
     }
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+SCHEMA: Schema = {"type": "object", "properties": {
+    **header(FLOW_SCHEMA_VERSION, FLOW_TOOL_NAME),
+    "target": NON_EMPTY,
+    "graph": {"type": "object", "properties": {
+        "nodes": COUNT, "edges": COUNT, "open": COUNT}},
+    "tainted": {"type": "array", "items": STRING},
+    "pathClean": BOOLEAN,
+    "witnesses": {"type": "array", "items": {"type": "object", "properties": {
+        "source": NON_EMPTY,
+        "sink": NON_EMPTY,
+        "hops": {"type": "array", "minItems": 1, "items": {
+            "type": "object", "properties": {
+                "src": NON_EMPTY, "dst": NON_EMPTY,
+                "missingBoundary": NON_EMPTY}}},
+    }}},
+    "cuts": {"type": "object", "keys": NON_EMPTY, "values": {
+        "type": "array", "items": string_list(minItems=2, maxItems=2)}},
+}}
 
 
 def validate_flow_dict(document: dict) -> None:
-    """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "flow report must be an object")
-    required = {"version", "tool", "target", "graph", "tainted", "pathClean",
-                "witnesses", "cuts"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == FLOW_SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == FLOW_TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["target"], str) and document["target"],
-             "target must be a non-empty string")
-
-    graph = document["graph"]
-    _require(isinstance(graph, dict)
-             and set(graph) == {"nodes", "edges", "open"},
-             "graph must be {nodes, edges, open}")
-    for key in ("nodes", "edges", "open"):
-        _require(isinstance(graph[key], int) and graph[key] >= 0,
-                 f"graph.{key} must be a non-negative int")
-    _require(graph["open"] <= graph["edges"],
-             "graph.open cannot exceed graph.edges")
-
-    _require(isinstance(document["tainted"], list)
-             and all(isinstance(n, str) for n in document["tainted"]),
-             "tainted must be a list of node names")
-    _require(isinstance(document["pathClean"], bool),
-             "pathClean must be a bool")
-    _require(document["pathClean"] == (not document["witnesses"]),
-             "pathClean must mean exactly zero witnesses")
-
-    _require(isinstance(document["witnesses"], list),
-             "witnesses must be a list")
+    """Raise :class:`~repro.core.schema.SchemaError` unless ``document``
+    matches the schema."""
+    validate(document, SCHEMA)
+    require(document["graph"]["open"] <= document["graph"]["edges"],
+            "graph.open cannot exceed graph.edges")
+    require(document["pathClean"] == (not document["witnesses"]),
+            "pathClean must mean exactly zero witnesses")
     for index, witness in enumerate(document["witnesses"]):
-        where = f"witnesses[{index}]"
-        _require(isinstance(witness, dict)
-                 and set(witness) == {"source", "sink", "hops"},
-                 f"{where}: keys must be [hops, sink, source]")
-        _require(isinstance(witness["source"], str) and witness["source"],
-                 f"{where}: source must be a non-empty string")
-        _require(isinstance(witness["sink"], str) and witness["sink"],
-                 f"{where}: sink must be a non-empty string")
-        hops = witness["hops"]
-        _require(isinstance(hops, list) and hops,
-                 f"{where}: hops must be a non-empty list")
-        for hop_index, hop in enumerate(hops):
-            inner = f"{where}.hops[{hop_index}]"
-            _require(isinstance(hop, dict)
-                     and set(hop) == {"src", "dst", "missingBoundary"},
-                     f"{inner}: keys must be [dst, missingBoundary, src]")
-            for key in ("src", "dst", "missingBoundary"):
-                _require(isinstance(hop[key], str) and hop[key],
-                         f"{inner}: {key} must be a non-empty string")
-        _require(hops[-1]["dst"] == witness["sink"],
-                 f"{where}: last hop must land on the sink")
-
-    cuts = document["cuts"]
-    _require(isinstance(cuts, dict), "cuts must be an object")
-    for sink, edges in cuts.items():
-        where = f"cuts[{sink!r}]"
-        _require(isinstance(sink, str) and sink,
-                 "cuts keys must be non-empty sink names")
-        _require(isinstance(edges, list), f"{where} must be a list")
-        for pair in edges:
-            _require(isinstance(pair, list) and len(pair) == 2
-                     and all(isinstance(p, str) and p for p in pair),
-                     f"{where}: each cut edge must be a [src, dst] pair")
+        require(witness["hops"][-1]["dst"] == witness["sink"],
+                f"witnesses[{index}]: last hop must land on the sink")

@@ -16,9 +16,10 @@ SARIF viewers, ...).  The mapping:
 * baselined findings are still emitted, with a ``suppressions`` entry
   (kind ``external``), matching how SARIF models accepted findings.
 
-:func:`validate_sarif_dict` structurally checks the emitted subset —
-enough to keep the golden file and the CI gates honest without a full
-JSON-schema engine.
+:data:`SCHEMA` declares the emitted subset for :mod:`repro.core.schema`;
+:func:`validate_sarif_dict` checks it plus the rule-id cross-reference —
+enough to keep the golden file and the CI gates honest without the full
+SARIF JSON schema.
 
 .. _SARIF 2.1.0: https://docs.oasis-open.org/sarif/sarif/v2.1.0/
 """
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.schema import NON_EMPTY, STRING, Schema, require, validate
 from repro.lint.engine import Finding, Rule, Severity
-from repro.lint.report import Report, SchemaError
+from repro.lint.report import Report
 
 __all__ = ["SARIF_VERSION", "SARIF_SCHEMA_URI", "to_sarif_dict",
            "validate_sarif_dict"]
@@ -147,87 +149,83 @@ def to_sarif_dict(report: Report, rules: Iterable[Rule] = (), *,
 # validation of the emitted subset
 # --------------------------------------------------------------------------
 
-_VALID_LEVELS = {"none", "note", "warning", "error"}
+_LEVEL: Schema = {"enum": ["none", "note", "warning", "error"]}
+_TEXT: Schema = {"type": "object", "properties": {"text": STRING}}
+_PROPERTIES: Schema = {"type": "object", "properties": {
+    "layer": STRING, "paperRef": STRING, "severity": STRING}}
 
+_LOCATION: Schema = {
+    "type": "object",
+    "properties": {"logicalLocations": {
+        "type": "array", "minItems": 1, "items": {
+            "type": "object",
+            "properties": {"name": NON_EMPTY, "kind": STRING}}}},
+    "optional": {"physicalLocation": {"type": "object", "properties": {
+        "artifactLocation": {"type": "object", "properties": {
+            "uri": NON_EMPTY}},
+        "region": {"type": "object", "properties": {
+            "startLine": {"type": "integer", "minimum": 1}}},
+    }}},
+}
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+_RESULT: Schema = {
+    "type": "object",
+    "properties": {
+        "ruleId": NON_EMPTY,
+        "level": _LEVEL,
+        "message": _TEXT,
+        "locations": {"type": "array", "minItems": 1, "items": _LOCATION},
+        "partialFingerprints": {"type": "object", "values": NON_EMPTY},
+        "properties": _PROPERTIES,
+    },
+    "optional": {
+        "ruleIndex": {"type": "integer", "minimum": 0},
+        "suppressions": {"type": "array", "items": {
+            "type": "object", "properties": {
+                "kind": {"enum": ["inSource", "external"]},
+                "justification": STRING}}},
+    },
+}
 
-
-def _validate_result(result: dict, where: str, rule_ids: set[str]) -> None:
-    _require(isinstance(result, dict), f"{where}: result must be an object")
-    _require(isinstance(result.get("ruleId"), str) and result["ruleId"],
-             f"{where}: ruleId must be a non-empty string")
-    if rule_ids:
-        _require(result["ruleId"] in rule_ids,
-                 f"{where}: ruleId {result['ruleId']!r} not in driver.rules")
-    _require(result.get("level") in _VALID_LEVELS,
-             f"{where}: bad level {result.get('level')!r}")
-    message = result.get("message")
-    _require(isinstance(message, dict) and isinstance(message.get("text"), str),
-             f"{where}: message.text must be a string")
-    locations = result.get("locations")
-    _require(isinstance(locations, list) and len(locations) >= 1,
-             f"{where}: at least one location required")
-    for location in locations:
-        logical = location.get("logicalLocations")
-        _require(isinstance(logical, list) and len(logical) >= 1,
-                 f"{where}: logicalLocations required")
-        for entry in logical:
-            _require(isinstance(entry.get("name"), str) and entry["name"],
-                     f"{where}: logical location needs a name")
-        if "physicalLocation" in location:
-            physical = location["physicalLocation"]
-            artifact = physical.get("artifactLocation", {})
-            _require(isinstance(artifact.get("uri"), str) and artifact["uri"],
-                     f"{where}: physicalLocation needs artifactLocation.uri")
-            region = physical.get("region", {})
-            start = region.get("startLine")
-            _require(isinstance(start, int) and start >= 1,
-                     f"{where}: physicalLocation needs region.startLine >= 1")
-    prints = result.get("partialFingerprints")
-    _require(isinstance(prints, dict) and prints,
-             f"{where}: partialFingerprints required")
-    for key, value in prints.items():
-        _require(isinstance(value, str) and value,
-                 f"{where}: partialFingerprints[{key!r}] must be a string")
-    if "suppressions" in result:
-        for suppression in result["suppressions"]:
-            _require(suppression.get("kind") in ("inSource", "external"),
-                     f"{where}: bad suppression kind")
+SCHEMA: Schema = {"type": "object", "properties": {
+    "$schema": {"const": SARIF_SCHEMA_URI},
+    "version": {"const": SARIF_VERSION},
+    "runs": {"type": "array", "minItems": 1, "maxItems": 1, "items": {
+        "type": "object", "properties": {
+            "tool": {"type": "object", "properties": {"driver": {
+                "type": "object", "properties": {
+                    "name": {"enum": sorted(_KNOWN_TOOLS),
+                             "message": "unexpected tool name"},
+                    "version": NON_EMPTY,
+                    "informationUri": STRING,
+                    "rules": {"type": "array", "unique": "id", "items": {
+                        "type": "object", "properties": {
+                            "id": NON_EMPTY,
+                            "name": STRING,
+                            "shortDescription": _TEXT,
+                            "fullDescription": _TEXT,
+                            "defaultConfiguration": {
+                                "type": "object",
+                                "properties": {"level": _LEVEL}},
+                            "properties": _PROPERTIES,
+                        }}},
+                }}}},
+            "automationDetails": {"type": "object", "properties": {
+                "id": NON_EMPTY}},
+            "results": {"type": "array", "items": _RESULT},
+        }}},
+}}
 
 
 def validate_sarif_dict(document: dict) -> None:
-    """Raise :class:`SchemaError` unless ``document`` is valid SARIF-as-emitted."""
-    _require(isinstance(document, dict), "SARIF log must be an object")
-    _require(document.get("version") == SARIF_VERSION,
-             f"version must be {SARIF_VERSION!r}")
-    _require(document.get("$schema") == SARIF_SCHEMA_URI,
-             "$schema must point at the 2.1.0 schema")
-    runs = document.get("runs")
-    _require(isinstance(runs, list) and len(runs) == 1,
-             "exactly one run expected")
-    run = runs[0]
-    driver = run.get("tool", {}).get("driver")
-    _require(isinstance(driver, dict), "runs[0].tool.driver required")
-    _require(driver.get("name") in _KNOWN_TOOLS,
-             f"unexpected tool name {driver.get('name')!r}")
-    _require(isinstance(driver.get("version"), str) and driver["version"],
-             "driver.version must be a non-empty string")
-    rules = driver.get("rules", [])
-    _require(isinstance(rules, list), "driver.rules must be a list")
-    rule_ids = set()
-    for index, rule in enumerate(rules):
-        where = f"driver.rules[{index}]"
-        _require(isinstance(rule.get("id"), str) and rule["id"],
-                 f"{where}: id required")
-        _require(rule["id"] not in rule_ids, f"{where}: duplicate id")
-        rule_ids.add(rule["id"])
-        config = rule.get("defaultConfiguration", {})
-        _require(config.get("level") in _VALID_LEVELS,
-                 f"{where}: bad defaultConfiguration.level")
-    results = run.get("results")
-    _require(isinstance(results, list), "runs[0].results must be a list")
-    for index, result in enumerate(results):
-        _validate_result(result, f"results[{index}]", rule_ids)
+    """Raise :class:`~repro.core.schema.SchemaError` unless ``document`` is
+    valid SARIF-as-emitted."""
+    validate(document, SCHEMA)
+    run = document["runs"][0]
+    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+    for index, result in enumerate(run["results"]):
+        where = f"runs[0].results[{index}]"
+        require(bool(result["partialFingerprints"]),
+                f"{where}: partialFingerprints required")
+        require(not rule_ids or result["ruleId"] in rule_ids,
+                f"{where}: ruleId {result['ruleId']!r} not in driver.rules")

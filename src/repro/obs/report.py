@@ -25,14 +25,19 @@ SARIF-lite conventions — small, flat, stable::
                   "byKind": {"<kind>": <int>}, "droppedEvents": <int>}
     }
 
-:func:`validate_trace_dict` checks a parsed document against that
-schema and raises :class:`SchemaError` on any violation — the CI gate
+:data:`SCHEMA` declares that shape for :mod:`repro.core.schema`;
+:func:`validate_trace_dict` checks a parsed document against it plus the
+span/event summary cross-checks and raises
+:class:`~repro.core.schema.SchemaError` on any violation — the CI gate
 and the round-trip tests both call it.
 """
 
 from __future__ import annotations
 
 from repro.core.layers import Layer
+from repro.core.schema import (COUNT, NON_EMPTY, NON_NEGATIVE, NUMBER,
+                               SCALAR, STRING, Schema, SchemaError, header,
+                               require, string_list, validate)
 from repro.obs.events import EventKind, SimEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS, Instrumentation
@@ -45,10 +50,6 @@ __all__ = ["TraceReport", "SchemaError", "validate_trace_dict",
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-obs"
-
-
-class SchemaError(ValueError):
-    """A trace JSON document does not match the documented schema."""
 
 
 # --------------------------------------------------------------------------
@@ -188,95 +189,60 @@ class TraceReport:
 # schema validation
 # --------------------------------------------------------------------------
 
-_KIND_VALUES = {kind.value for kind in EventKind}
-_LAYER_NAMES = {layer.name.lower() for layer in Layer}
-_EVENT_KEYS = {"seq", "t", "kind", "layer", "source", "message", "fields"}
-_HIST_KEYS = {"count", "min", "max", "mean", "p50", "p95", "p99"}
+_SCALAR_MAP: Schema = {"type": "object", "values": SCALAR}
+
+_SPAN: Schema = {
+    "type": "object",
+    "properties": {
+        "name": NON_EMPTY, "wallMs": NON_NEGATIVE, "cpuMs": NON_NEGATIVE,
+        "status": {"enum": ["ok", "error"]}, "tags": _SCALAR_MAP,
+        "children": {"type": "array"},
+    },
+    "optional": {"error": STRING},
+}
+_SPAN["properties"]["children"]["items"] = _SPAN
+
+METRICS: Schema = {"type": "object", "properties": {
+    "counters": {"type": "object", "values": COUNT},
+    "gauges": {"type": "object", "values": NUMBER},
+    "histograms": {"type": "object", "values": {
+        "type": "object", "properties": {
+            "count": COUNT, "min": NUMBER, "max": NUMBER, "mean": NUMBER,
+            "p50": NUMBER, "p95": NUMBER, "p99": NUMBER}}},
+}}
+
+SCHEMA: Schema = {"type": "object", "properties": {
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "scenario": NON_EMPTY,
+    "spans": {"type": "array", "items": _SPAN},
+    "events": {"type": "array", "items": {"type": "object", "properties": {
+        "seq": COUNT, "t": NUMBER,
+        "kind": {"enum": [kind.value for kind in EventKind]},
+        "layer": {"enum": [layer.name.lower() for layer in Layer]},
+        "source": STRING, "message": STRING, "fields": _SCALAR_MAP}}},
+    "metrics": METRICS,
+    "result": _SCALAR_MAP,
+    "summary": {"type": "object", "properties": {
+        "spans": COUNT, "events": COUNT, "layers": string_list(),
+        "byKind": {"type": "object", "values": COUNT},
+        "droppedEvents": COUNT}},
+}}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _check_span(span: dict, where: str) -> int:
+    """Cross-check one span subtree; returns its span count."""
+    require(("error" in span) == (span["status"] == "error"),
+            f"{where}: error text iff status == 'error'")
+    return 1 + sum(_check_span(child, f"{where}.children[{index}]")
+                   for index, child in enumerate(span["children"]))
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_scalar(value: object) -> bool:
-    return isinstance(value, (str, int, float, bool))
-
-
-def _validate_span(entry: dict, where: str) -> int:
-    """Validate one span node; returns the subtree's span count."""
-    _require(isinstance(entry, dict), f"{where}: span must be an object")
-    required = {"name", "wallMs", "cpuMs", "status", "tags", "children"}
-    keys = set(entry)
-    _require(required <= keys <= required | {"error"},
-             f"{where}: keys {sorted(keys)} != {sorted(required)} (+error?)")
-    _require(isinstance(entry["name"], str) and entry["name"],
-             f"{where}: name must be a non-empty string")
-    for key in ("wallMs", "cpuMs"):
-        _require(_is_number(entry[key]) and entry[key] >= 0,
-                 f"{where}: {key} must be a non-negative number")
-    _require(entry["status"] in ("ok", "error"),
-             f"{where}: bad status {entry['status']!r}")
-    _require(("error" in entry) == (entry["status"] == "error"),
-             f"{where}: error text iff status == 'error'")
-    tags = entry["tags"]
-    _require(isinstance(tags, dict), f"{where}: tags must be an object")
-    for key, value in tags.items():
-        _require(isinstance(key, str) and _is_scalar(value),
-                 f"{where}: tag {key!r} must map a string to a scalar")
-    _require(isinstance(entry["children"], list),
-             f"{where}: children must be a list")
-    count = 1
-    for index, child in enumerate(entry["children"]):
-        count += _validate_span(child, f"{where}.children[{index}]")
-    return count
-
-
-def _validate_event(entry: dict, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: event must be an object")
-    _require(set(entry) == _EVENT_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_EVENT_KEYS)}")
-    _require(isinstance(entry["seq"], int) and not isinstance(entry["seq"], bool)
-             and entry["seq"] >= 0, f"{where}: seq must be a non-negative int")
-    _require(_is_number(entry["t"]), f"{where}: t must be a number")
-    _require(entry["kind"] in _KIND_VALUES, f"{where}: bad kind {entry['kind']!r}")
-    _require(entry["layer"] in _LAYER_NAMES,
-             f"{where}: bad layer {entry['layer']!r}")
-    for key in ("source", "message"):
-        _require(isinstance(entry[key], str), f"{where}: {key} must be a string")
-    _require(isinstance(entry["fields"], dict),
-             f"{where}: fields must be an object")
-    for key, value in entry["fields"].items():
-        _require(isinstance(key, str) and _is_scalar(value),
-                 f"{where}: field {key!r} must map a string to a scalar")
-
-
-def _validate_metrics(metrics: dict) -> None:
-    _require(isinstance(metrics, dict)
-             and set(metrics) == {"counters", "gauges", "histograms"},
-             "metrics must be {counters, gauges, histograms}")
-    for name, value in metrics["counters"].items():
-        _require(isinstance(name, str) and isinstance(value, int)
-                 and not isinstance(value, bool) and value >= 0,
-                 f"counters[{name!r}] must be a non-negative int")
-    for name, value in metrics["gauges"].items():
-        _require(isinstance(name, str) and _is_number(value),
-                 f"gauges[{name!r}] must be a number")
+def _check_metrics(metrics: dict) -> None:
     for name, summary in metrics["histograms"].items():
-        where = f"histograms[{name!r}]"
-        _require(isinstance(summary, dict) and set(summary) == _HIST_KEYS,
-                 f"{where}: keys must be {sorted(_HIST_KEYS)}")
-        for key in sorted(_HIST_KEYS):
-            _require(_is_number(summary[key]), f"{where}.{key} must be a number")
-        _require(isinstance(summary["count"], int) and summary["count"] >= 0,
-                 f"{where}.count must be a non-negative int")
         if summary["count"]:
-            _require(summary["min"] <= summary["p50"] <= summary["max"],
-                     f"{where}: percentiles must lie within [min, max]")
+            require(summary["min"] <= summary["p50"] <= summary["max"],
+                    f"histograms[{name!r}]: percentiles must lie within "
+                    f"[min, max]")
 
 
 def validate_metrics_dict(metrics: dict,
@@ -289,63 +255,29 @@ def validate_metrics_dict(metrics: dict,
     that every gauge named in ``required_gauges`` is present — without
     requiring the full trace-report envelope.
     """
-    _validate_metrics(metrics)
+    validate(metrics, METRICS)
+    _check_metrics(metrics)
     missing = [name for name in required_gauges
                if name not in metrics["gauges"]]
-    _require(not missing, f"missing required gauges: {missing}")
+    require(not missing, f"missing required gauges: {missing}")
 
 
 def validate_trace_dict(document: dict) -> None:
     """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "trace report must be an object")
-    required = {"version", "tool", "scenario", "spans", "events", "metrics",
-                "result", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME, f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["scenario"], str) and document["scenario"],
-             "scenario must be a non-empty string")
-
-    _require(isinstance(document["spans"], list), "spans must be a list")
-    span_total = 0
-    for index, span in enumerate(document["spans"]):
-        span_total += _validate_span(span, f"spans[{index}]")
-
-    _require(isinstance(document["events"], list), "events must be a list")
-    seen_layers: set[str] = set()
+    validate(document, SCHEMA)
+    _check_metrics(document["metrics"])
+    span_total = sum(_check_span(span, f"spans[{index}]")
+                     for index, span in enumerate(document["spans"]))
+    events = document["events"]
     by_kind: dict[str, int] = {}
-    for index, event in enumerate(document["events"]):
-        _validate_event(event, f"events[{index}]")
-        seen_layers.add(event["layer"])
+    for event in events:
         by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
-
-    _validate_metrics(document["metrics"])
-
-    result = document["result"]
-    _require(isinstance(result, dict), "result must be an object")
-    for key, value in result.items():
-        _require(isinstance(key, str) and _is_scalar(value),
-                 f"result[{key!r}] must map a string to a scalar")
-
     summary = document["summary"]
-    _require(isinstance(summary, dict)
-             and set(summary) == {"spans", "events", "layers", "byKind",
-                                  "droppedEvents"},
-             "summary must be {spans, events, layers, byKind, droppedEvents}")
-    _require(summary["spans"] == span_total,
-             "summary.spans must equal the span-tree node count")
-    _require(summary["events"] == len(document["events"]),
-             "summary.events must equal len(events)")
-    _require(summary["layers"] == sorted(seen_layers),
-             "summary.layers must list the event layers, sorted")
-    _require(summary["byKind"] == by_kind,
-             "summary.byKind must count events by kind")
-    _require(isinstance(summary["droppedEvents"], int)
-             and not isinstance(summary["droppedEvents"], bool)
-             and summary["droppedEvents"] >= 0,
-             "summary.droppedEvents must be a non-negative int")
+    require(summary["spans"] == span_total,
+            "summary.spans must equal the span-tree node count")
+    require(summary["events"] == len(events),
+            "summary.events must equal len(events)")
+    require(summary["layers"] == sorted({event["layer"] for event in events}),
+            "summary.layers must list the event layers, sorted")
+    require(summary["byKind"] == by_kind,
+            "summary.byKind must count events by kind")

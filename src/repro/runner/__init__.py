@@ -30,8 +30,7 @@ from repro.runner.cache import (CACHE_VERSION, ResultCache, default_cache_dir,
                                 experiment_key, tree_digest)
 from repro.runner.engine import (DEFAULT_COMMAND_TEMPLATE, DEFAULT_TIMEOUT_S,
                                  ExperimentResult, SweepRunner)
-from repro.runner.report import (SweepReport, SweepSchemaError,
-                                 validate_sweep_dict)
+from repro.runner.report import SchemaError, SweepReport, validate_sweep_dict
 from repro.runner.worker import execute, parse_artifacts
 
 __all__ = [
@@ -40,9 +39,9 @@ __all__ = [
     "DEFAULT_TIMEOUT_S",
     "ExperimentResult",
     "ResultCache",
+    "SchemaError",
     "SweepReport",
     "SweepRunner",
-    "SweepSchemaError",
     "default_cache_dir",
     "execute",
     "experiment_key",

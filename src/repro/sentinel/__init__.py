@@ -48,7 +48,7 @@ from repro.sentinel.detectors import (
     default_detectors,
 )
 from repro.sentinel.engine import IGNORED_KINDS, MACHINE_PARAMS, SentinelEngine
-from repro.sentinel.report import SentinelSchemaError, validate_sentinel_dict
+from repro.sentinel.report import SchemaError, validate_sentinel_dict
 from repro.sentinel.trust import (
     DEFAULT_WEIGHTS,
     TrustEvent,
@@ -83,6 +83,6 @@ __all__ = [
     "run_sentinel_scenario",
     "run_sentinel_campaign",
     "sentinel_scenario_names",
-    "SentinelSchemaError",
+    "SchemaError",
     "validate_sentinel_dict",
 ]

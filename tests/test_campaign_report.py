@@ -98,6 +98,28 @@ class TestValidator:
         with pytest.raises(SchemaError, match=match):
             validate_campaign_dict(document)
 
+    # Wrongly typed fields the validator once let through.
+    TYPE_GAPS = [
+        (lambda d: d["shards"][1].update(seed="zero"), r"shards\[1\]\.seed"),
+        (lambda d: d["shards"][1].update(duration=-3),
+         r"shards\[1\]\.duration"),
+        (lambda d: d["shards"][1].update(tool=7), r"shards\[1\]\.tool"),
+        (lambda d: d["shards"][1].update(error=None), r"shards\[1\]\.error"),
+        (lambda d: d["shards"][1].update(scenario=""),
+         r"shards\[1\]\.scenario"),
+        (lambda d: d["campaign"].update(name=3), r"campaign\.name"),
+        (lambda d: d["tool"].update(version=1.0), r"tool\.version"),
+        (lambda d: d["summary"].update(interrupted="no"),
+         r"summary\.interrupted"),
+    ]
+
+    @pytest.mark.parametrize("mutate, match", TYPE_GAPS)
+    def test_wrongly_typed_fields_rejected(self, mutate, match):
+        document = make_report().to_json_dict()
+        mutate(document)
+        with pytest.raises(SchemaError, match=match):
+            validate_campaign_dict(document)
+
     def test_digest_recompute_catches_result_tampering(self):
         document = make_report().to_json_dict()
         document["shards"][0]["result"]["verdict"] = "tampered"

@@ -107,7 +107,7 @@ class TestValidation:
     def test_missing_runs_rejected(self):
         document = make_sarif()
         document["runs"] = []
-        with pytest.raises(SchemaError, match="one run"):
+        with pytest.raises(SchemaError, match="runs"):
             validate_sarif_dict(document)
 
     def test_unknown_rule_id_in_result_rejected(self):

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.runner import SweepSchemaError, validate_sweep_dict
+from repro.runner import SchemaError, validate_sweep_dict
 from repro.runner.engine import ExperimentResult
 from repro.runner.report import SweepReport
 
@@ -50,7 +50,7 @@ class TestSchema:
     def test_summary_counts_enforced(self):
         document = sample_report().to_json_dict()
         document["summary"]["passed"] = 2
-        with pytest.raises(SweepSchemaError, match="summary.passed"):
+        with pytest.raises(SchemaError, match="summary.passed"):
             validate_sweep_dict(document)
 
     @pytest.mark.parametrize("mutate, match", [
@@ -76,7 +76,7 @@ class TestSchema:
     def test_mutations_rejected(self, mutate, match):
         document = sample_report().to_json_dict()
         mutate(document)
-        with pytest.raises(SweepSchemaError, match=match):
+        with pytest.raises(SchemaError, match=match):
             validate_sweep_dict(document)
 
     def test_duplicate_mutation_also_breaks_counts_first(self):
@@ -85,5 +85,5 @@ class TestSchema:
         document = sample_report().to_json_dict()
         document["experiments"].append(
             copy.deepcopy(document["experiments"][0]))
-        with pytest.raises(SweepSchemaError):
+        with pytest.raises(SchemaError):
             validate_sweep_dict(document)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.sentinel import (
-    SentinelSchemaError,
+    SchemaError,
     run_sentinel_campaign,
     validate_sentinel_dict,
 )
@@ -25,8 +25,8 @@ class TestAcceptance:
         validate_sentinel_dict(json.loads(json.dumps(document)))
 
     def test_schema_error_is_a_value_error(self):
-        assert issubclass(SentinelSchemaError, ValueError)
-        with pytest.raises(SentinelSchemaError):
+        assert issubclass(SchemaError, ValueError)
+        with pytest.raises(SchemaError):
             validate_sentinel_dict([])  # not even a mapping
 
 
@@ -89,7 +89,7 @@ class TestMutationRejections:
     def test_mutation_raises_schema_error(self, document, label, mutate):
         mutated = copy.deepcopy(document)
         mutate(mutated)
-        with pytest.raises(SentinelSchemaError):
+        with pytest.raises(SchemaError):
             validate_sentinel_dict(mutated)
 
     def test_mutation_fixtures_actually_mutate(self, document):
