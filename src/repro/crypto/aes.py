@@ -7,11 +7,17 @@ in :mod:`repro.crypto.modes`.
 
 The S-box and its inverse are derived programmatically from the GF(2^8)
 multiplicative inverse plus the FIPS 197 affine transform, which avoids
-transcription errors in a 256-entry table.  Correctness is pinned to the
-FIPS 197 appendix test vectors in the test suite.
+transcription errors in a 256-entry table.  Encryption is the classic
+T-table formulation: the state is four big-endian 32-bit column words, and
+the four 256-entry tables ``Te0..Te3`` (built at import from the S-box and
+the GF(2^8) doubling table) fold SubBytes, ShiftRows and MixColumns into
+16 lookups plus XORs per round; the final round uses the S-box alone.
+Decryption stays round by round, an independent inverse the tests
+round-trip against.  Correctness is pinned to the FIPS 197 appendix test
+vectors in the test suite.
 
-This implementation favours clarity over speed and is **not** constant-time;
-it is a simulation substrate, not a production cipher.
+The table lookups are **not** constant-time; this is a simulation
+substrate, not a production cipher.
 """
 
 from __future__ import annotations
@@ -74,8 +80,29 @@ def _build_sbox() -> tuple[bytes, bytes]:
 _SBOX, _INV_SBOX = _build_sbox()
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
 
-# Precomputed GF(2^8) multiply-by-constant tables used by (Inv)MixColumns.
+# Precomputed GF(2^8) multiply-by-constant tables used by InvMixColumns and
+# by the encryption T-tables.
 _MUL = {c: bytes(_gf_mul(x, c) for x in range(256)) for c in (2, 3, 9, 11, 13, 14)}
+
+
+def _rotr8(word: int) -> int:
+    return (word >> 8) | ((word & 0xFF) << 24)
+
+
+def _sub_word(word: int) -> int:
+    """Apply the S-box to each byte of a 32-bit word (FIPS 197 SubWord)."""
+    return (
+        (_SBOX[word >> 24] << 24) | (_SBOX[(word >> 16) & 0xFF] << 16)
+        | (_SBOX[(word >> 8) & 0xFF] << 8) | _SBOX[word & 0xFF]
+    )
+
+
+# Te0[x] is the MixColumns column (2s, s, s, 3s) for s = S[x], packed
+# big-endian; Te1..Te3 are its byte rotations, one per state row.
+_TE0 = [(_MUL[2][s] << 24) | (s << 16) | (s << 8) | _MUL[3][s] for s in _SBOX]
+_TE1 = [_rotr8(t) for t in _TE0]
+_TE2 = [_rotr8(t) for t in _TE1]
+_TE3 = [_rotr8(t) for t in _TE2]
 
 
 class AES:
@@ -97,36 +124,57 @@ class AES:
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(self.key)
 
-    def _expand_key(self, key: bytes) -> list[list[int]]:
+    def _expand_key(self, key: bytes) -> list[tuple[int, int, int, int]]:
+        """FIPS 197 key expansion into one tuple of four big-endian words per round."""
         nk = len(key) // 4
         nr = self._rounds
-        words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
+        words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(nk)]
         for i in range(nk, 4 * (nr + 1)):
-            temp = list(words[i - 1])
+            temp = words[i - 1]
             if i % nk == 0:
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // nk - 1]
+                rotated = ((temp << 8) & 0xFFFFFFFF) | (temp >> 24)
+                temp = _sub_word(rotated) ^ (_RCON[i // nk - 1] << 24)
             elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([a ^ b for a, b in zip(words[i - nk], temp)])
-        # Group words into 16-byte round keys (flat lists for speed).
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
         return [
-            [b for w in words[4 * r : 4 * r + 4] for b in w]
+            (words[4 * r], words[4 * r + 1], words[4 * r + 2], words[4 * r + 3])
             for r in range(nr + 1)
         ]
 
-    # The state is a flat 16-element list in column-major order, matching the
-    # byte order of the input block (FIPS 197 s[r][c] = in[r + 4c]).
+    def encrypt_block(self, block: bytes) -> bytes:
+        """Encrypt a single 16-byte block."""
+        if len(block) != 16:
+            raise ValueError("AES block must be exactly 16 bytes")
+        rk = self._round_keys
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        value = int.from_bytes(block, "big")
+        k0, k1, k2, k3 = rk[0]
+        s0 = (value >> 96) ^ k0
+        s1 = ((value >> 64) & 0xFFFFFFFF) ^ k1
+        s2 = ((value >> 32) & 0xFFFFFFFF) ^ k2
+        s3 = (value & 0xFFFFFFFF) ^ k3
+        for k0, k1, k2, k3 in rk[1:-1]:
+            t0 = te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0
+            t1 = te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1
+            t2 = te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2
+            s3 = te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3
+            s0, s1, s2 = t0, t1, t2
+        sbox = _SBOX
+        k0, k1, k2, k3 = rk[-1]
+        return (
+            (((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
+              | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ k0) << 96
+            | (((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
+                | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ k1) << 64
+            | (((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
+                | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ k2) << 32
+            | (((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
+                | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ k3)
+        ).to_bytes(16, "big")
 
-    @staticmethod
-    def _shift_rows(s: list[int]) -> list[int]:
-        return [
-            s[0], s[5], s[10], s[15],
-            s[4], s[9], s[14], s[3],
-            s[8], s[13], s[2], s[7],
-            s[12], s[1], s[6], s[11],
-        ]
+    # Decryption works on a flat 16-byte state in column-major order,
+    # matching the byte order of the block (FIPS 197 s[r][c] = in[r + 4c]).
 
     @staticmethod
     def _inv_shift_rows(s: list[int]) -> list[int]:
@@ -136,18 +184,6 @@ class AES:
             s[8], s[5], s[2], s[15],
             s[12], s[9], s[6], s[3],
         ]
-
-    @staticmethod
-    def _mix_columns(s: list[int]) -> list[int]:
-        m2, m3 = _MUL[2], _MUL[3]
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = m2[a0] ^ m3[a1] ^ a2 ^ a3
-            out[c + 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
-            out[c + 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
-            out[c + 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
-        return out
 
     @staticmethod
     def _inv_mix_columns(s: list[int]) -> list[int]:
@@ -161,27 +197,11 @@ class AES:
             out[c + 3] = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
         return out
 
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt a single 16-byte block."""
-        if len(block) != 16:
-            raise ValueError("AES block must be exactly 16 bytes")
-        rk = self._round_keys
-        s = [b ^ k for b, k in zip(block, rk[0])]
-        for rnd in range(1, self._rounds):
-            s = [_SBOX[b] for b in s]
-            s = self._shift_rows(s)
-            s = self._mix_columns(s)
-            s = [b ^ k for b, k in zip(s, rk[rnd])]
-        s = [_SBOX[b] for b in s]
-        s = self._shift_rows(s)
-        s = [b ^ k for b, k in zip(s, rk[self._rounds])]
-        return bytes(s)
-
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt a single 16-byte block."""
         if len(block) != 16:
             raise ValueError("AES block must be exactly 16 bytes")
-        rk = self._round_keys
+        rk = [b"".join(w.to_bytes(4, "big") for w in words) for words in self._round_keys]
         s = [b ^ k for b, k in zip(block, rk[self._rounds])]
         for rnd in range(self._rounds - 1, 0, -1):
             s = self._inv_shift_rows(s)

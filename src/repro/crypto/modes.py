@@ -23,6 +23,18 @@ class AuthenticationError(Exception):
     """Raised when an AEAD tag or MAC fails verification."""
 
 
+# GCM tag lengths in bytes that SP 800-38D §5.2.1.2 admits.
+_GCM_TAG_LENGTHS = frozenset({4, 8, 12, 13, 14, 15, 16})
+
+
+def _check_gcm_tag_len(tag_len: int) -> None:
+    # A tag length read from a record is attacker-chosen: an empty tag would
+    # authenticate any ciphertext and a 1-byte tag forges with p = 1/256.
+    if tag_len not in _GCM_TAG_LENGTHS:
+        raise AuthenticationError(
+            f"GCM tag length {tag_len} bytes is not one of {sorted(_GCM_TAG_LENGTHS)}")
+
+
 def _inc32(block: bytes) -> bytes:
     """Increment the rightmost 32 bits of a 16-byte block (GCM counter)."""
     prefix, ctr = block[:12], int.from_bytes(block[12:], "big")
@@ -101,7 +113,12 @@ class Cmac:
         return full[: tag_bits // 8]
 
     def verify(self, message: bytes, tag: bytes) -> bool:
-        """Constant-result check of a (possibly truncated) tag."""
+        """Constant-result check of a (possibly truncated) tag.
+
+        An empty or over-long (> 16-byte) tag never verifies.
+        """
+        if not 1 <= len(tag) <= 16:
+            return False
         expected = self.tag(message, tag_bits=len(tag) * 8)
         # Non-short-circuit compare; timing is irrelevant in simulation but
         # we keep the idiom to mirror real implementations.
@@ -169,13 +186,22 @@ class Gcm:
         return xor_bytes(s, self._cipher.encrypt_block(j0))[:tag_len]
 
     def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"", tag_len: int = 16) -> tuple[bytes, bytes]:
-        """Return ``(ciphertext, tag)``."""
+        """Return ``(ciphertext, tag)``.
+
+        Raises :class:`AuthenticationError` unless ``tag_len`` is one of
+        4, 8, 12, 13, 14, 15 or 16 bytes (SP 800-38D).
+        """
+        _check_gcm_tag_len(tag_len)
         j0 = self._j0(iv)
         ciphertext = ctr_xcrypt(self._key, _inc32(j0), plaintext)
         return ciphertext, self._auth_tag(j0, aad, ciphertext, tag_len)
 
     def decrypt(self, iv: bytes, ciphertext: bytes, tag: bytes, aad: bytes = b"") -> bytes:
-        """Verify ``tag`` and return the plaintext; raise on failure."""
+        """Verify ``tag`` and return the plaintext; raise on failure.
+
+        A tag that is not 4, 8, 12, 13, 14, 15 or 16 bytes long fails.
+        """
+        _check_gcm_tag_len(len(tag))
         j0 = self._j0(iv)
         expected = self._auth_tag(j0, aad, ciphertext, len(tag))
         diff = 0

@@ -148,3 +148,37 @@ def test_ctr_xcrypt_is_involution():
     counter = b"\x00" * 16
     data = b"the quick brown fox jumps over"
     assert ctr_xcrypt(key, counter, ctr_xcrypt(key, counter, data)) == data
+
+
+class TestTagLengthBounds:
+    """The tag length arrives with the record, so an attacker can pick it."""
+
+    IV = b"\x01" * 12
+
+    def test_stripped_gcm_tag_does_not_authenticate(self):
+        ct, _ = Gcm(b"\x07" * 16).encrypt(self.IV, b"payload bytes")
+        with pytest.raises(AuthenticationError):
+            Gcm(b"\x07" * 16).decrypt(self.IV, ct, b"")
+        # Nor under a wrong key, which an empty tag would let through.
+        with pytest.raises(AuthenticationError):
+            Gcm(b"\x08" * 16).decrypt(self.IV, ct, b"")
+
+    @pytest.mark.parametrize("tag_len", [1, 2, 3, 5, 7, 9, 11, 17])
+    def test_out_of_spec_gcm_tag_rejected_even_when_it_matches(self, tag_len):
+        gcm = Gcm(b"\x07" * 16)
+        ct, tag = gcm.encrypt(self.IV, b"payload bytes")
+        with pytest.raises(AuthenticationError):
+            gcm.decrypt(self.IV, ct, (tag + b"\x00")[:tag_len])
+        with pytest.raises(AuthenticationError):
+            gcm.encrypt(self.IV, b"payload bytes", tag_len=tag_len)
+
+    @pytest.mark.parametrize("tag_len", [4, 8, 12, 13, 14, 15, 16])
+    def test_sp800_38d_tag_lengths_roundtrip(self, tag_len):
+        gcm = Gcm(b"\x07" * 16)
+        ct, tag = gcm.encrypt(self.IV, b"payload bytes", tag_len=tag_len)
+        assert len(tag) == tag_len
+        assert gcm.decrypt(self.IV, ct, tag) == b"payload bytes"
+
+    @pytest.mark.parametrize("tag", [b"", bytes(17), bytes(32)], ids=["empty", "17B", "32B"])
+    def test_cmac_verify_false_for_empty_or_overlong_tag(self, tag):
+        assert Cmac(RFC4493_KEY).verify(b"message", tag) is False
